@@ -1,7 +1,7 @@
 """Spectra, supersymmetric partners, and lattice dynamics of the
 intensity-dependent Rabi model, reduced to parity chains."""
 
-from .backend import active_backend, available_kernels, eigh_tridiagonal
+from .backend import active_backend, eigh_tridiagonal
 from .eigen import (
     ConvergenceReport,
     LevelVerdict,
@@ -61,7 +61,6 @@ __all__ = [
     "LevelVerdict",
     "eigh_tridiagonal",
     "active_backend",
-    "available_kernels",
     "squeeze_params",
     "weak_limit_energies",
     "deep_strong_energies",

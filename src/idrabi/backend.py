@@ -1,145 +1,42 @@
-"""Symmetric tridiagonal eigensolver kernel and backend selection.
+"""Symmetric tridiagonal eigensolver: one LAPACK call on the dense chain.
 
-The kernel is a single-source implicit-shift QL iteration with Wilkinson
-shifts (the classic tql2 scheme): deterministic, O(N^2) for eigenvalues,
-O(N^3) with eigenvector accumulation.  The same Python function is either
-compiled with numba.njit or run as-is; `IDRABI_BACKEND=numpy` forces the
-interpreted path, `IDRABI_BACKEND=numba` (default) uses the jitted one when
-numba imports.  Both paths execute identical statements, so they agree to
-machine rounding; `benchmarks/bench_backends.py` times them side by side.
+The chain is written into the lower triangle of an N x N array and handed to
+numpy's LAPACK driver (?syevd through `np.linalg.eigvalsh` / `eigh`), which
+adds no dependency and no import time (README, "Eigensolver").  The dense
+array takes 8*N^2 bytes, so chains longer than MAX_SITES are refused before
+anything is allocated.
 """
 
 from __future__ import annotations
-
-import math
-import os
-import warnings
 
 import numpy as np
 
 from .errors import EigensolverError
 
-MAX_SWEEPS = 50
-_EPS = 2.220446049250313e-16
-
-
-def _ql_sweep(d, e, z, want_z):  # pragma: no cover - exercised via both backends
-    """Implicit-shift QL, in place.
-
-    d : (n,) diagonal, overwritten with unordered eigenvalues.
-    e : (n,) subdiagonal in e[:n-1], e[n-1] = 0; destroyed.
-    z : (n, n) identity on entry when want_z, accumulates rotations;
-        pass a (1, 1) dummy otherwise.
-    Returns -1 on success, else the index whose deflation exceeded MAX_SWEEPS.
-    """
-    n = d.shape[0]
-    for l in range(n):
-        sweeps = 0
-        while True:
-            # find the first negligible subdiagonal at or after l
-            m = l
-            while m < n - 1:
-                scale = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * scale:
-                    break
-                m += 1
-            if m == l:
-                break
-            if sweeps >= MAX_SWEEPS:
-                return l
-            sweeps += 1
-            # Wilkinson shift from the trailing 2x2 of the active block
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # rotation annihilated early; drop the shift and retry
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                if want_z:
-                    for row in range(n):
-                        f = z[row, i + 1]
-                        z[row, i + 1] = s * z[row, i] + c * f
-                        z[row, i] = c * z[row, i] - s * f
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    return -1
-
-
-def _requested_backend() -> str:
-    requested = os.environ.get("IDRABI_BACKEND", "numba").strip().lower()
-    if requested not in {"numba", "numpy"}:
-        warnings.warn(
-            f"IDRABI_BACKEND={requested!r} not recognized, using 'numba'",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        requested = "numba"
-    return requested
-
-
-_KERNELS = {"numpy": _ql_sweep}
-try:
-    import numba
-
-    _KERNELS["numba"] = numba.njit(cache=True)(_ql_sweep)
-except ImportError:  # pragma: no cover - numba present in normal installs
-    pass
-
-_ACTIVE = _requested_backend()
-if _ACTIVE not in _KERNELS:  # pragma: no cover
-    warnings.warn("numba unavailable, falling back to the numpy backend", RuntimeWarning)
-    _ACTIVE = "numpy"
+MAX_SITES = 4096  # 128 MiB dense; a vector solve peaks near five times that
 
 
 def active_backend() -> str:
-    """Name of the kernel used by default ('numba' or 'numpy')."""
-    return _ACTIVE
+    """Name of the eigensolver every solve goes through."""
+    return "numpy-lapack-syevd"
 
 
-def available_kernels() -> dict:
-    """Mapping backend name -> kernel callable (for benchmarks and tests)."""
-    return dict(_KERNELS)
-
-
-def eigh_tridiagonal(diagonal, offdiagonal, want_vectors: bool = False, *, kernel=None):
+def eigh_tridiagonal(diagonal, offdiagonal, want_vectors: bool = False):
     """Eigenvalues (ascending) and optional eigenvectors of a real symmetric
     tridiagonal matrix.
 
     Parameters
     ----------
-    diagonal, offdiagonal : arrays of shape (n,) and (n-1,)
-    want_vectors : accumulate the orthogonal eigenbasis as columns
-    kernel : override the backend-selected sweep (benchmarks/tests)
+    diagonal, offdiagonal : arrays of shape (n,) and (n-1,), n <= MAX_SITES
+    want_vectors : also return the orthonormal eigenbasis as columns
 
     Returns
     -------
-    (w, v) with w shape (n,), v shape (n, n) or None.  Ties keep the sweep's
-    order (stable sort); each eigenvector's largest-magnitude entry is made
-    positive, so results are reproducible bit for bit on a given backend.
+    (w, v) with w shape (n,), v shape (n, n) or None.  Ties keep LAPACK's
+    order; each eigenvector's largest-magnitude entry is made positive, so
+    results are reproducible bit for bit on a given LAPACK build.
     """
-    d = np.array(diagonal, dtype=np.float64)
+    d = np.asarray(diagonal, dtype=np.float64)
     off = np.asarray(offdiagonal, dtype=np.float64)
     if d.ndim != 1 or off.ndim != 1:
         raise ValueError("diagonal and offdiagonal must be 1-D")
@@ -150,21 +47,20 @@ def eigh_tridiagonal(diagonal, offdiagonal, want_vectors: bool = False, *, kerne
         raise ValueError(f"offdiagonal length {off.size}, expected {n - 1}")
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(off))):
         raise ValueError("matrix entries must be finite")
+    if n > MAX_SITES:
+        raise ValueError(f"chain of {n} sites exceeds the dense solver limit of {MAX_SITES}")
 
-    e = np.zeros(n, dtype=np.float64)
-    e[: n - 1] = off
-    z = np.eye(n) if want_vectors else np.zeros((1, 1))
-    sweep = _KERNELS[_ACTIVE] if kernel is None else kernel
-    status = sweep(d, e, z, want_vectors)
-    if status >= 0:
-        raise EigensolverError(status, MAX_SWEEPS)
-
-    order = np.argsort(d, kind="stable")
-    w = d[order]
-    if not want_vectors:
-        return w, None
-    v = z[:, order]
+    h = np.zeros((n, n))
+    sites = np.arange(n)
+    h[sites, sites] = d
+    h[sites[1:], sites[:-1]] = off
+    try:
+        if not want_vectors:
+            return np.linalg.eigvalsh(h, UPLO="L"), None
+        w, v = np.linalg.eigh(h, UPLO="L")
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(str(exc)) from exc
     lead = np.argmax(np.abs(v), axis=0)
-    flip = v[lead, np.arange(n)] < 0.0
+    flip = v[lead, sites] < 0.0
     v[:, flip] *= -1.0
     return w, v

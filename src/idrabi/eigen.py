@@ -61,10 +61,11 @@ class SpectrumResult:
 def eigen_tridiagonal(h: TridiagonalHamiltonian, want_vectors: bool = False) -> SpectrumResult:
     """Diagonalize a chain Hamiltonian.
 
-    Eigenvalues come back ascending (stable under ties); eigenvectors, when
-    requested, are orthonormal columns with the largest-magnitude entry of
-    each made positive.  Equal inputs give bit-equal outputs on a fixed
-    backend.  Raises EigensolverError if a sweep fails to deflate.
+    Eigenvalues come back ascending; eigenvectors, when requested, are
+    orthonormal columns with the largest-magnitude entry of each made
+    positive.  Equal inputs give bit-equal outputs on a fixed LAPACK build.
+    Raises ValueError for chains longer than backend.MAX_SITES and
+    EigensolverError if LAPACK fails to converge.
     """
     w, v = eigh_tridiagonal(h.diagonal, h.offdiagonal, want_vectors=want_vectors)
     return SpectrumResult(w, v, h)

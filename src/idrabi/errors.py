@@ -10,14 +10,8 @@ class NonDegenerateQubitError(ValueError):
 
 
 class EigensolverError(RuntimeError):
-    """QL sweep failed to deflate an eigenvalue within the iteration cap.
+    """LAPACK's symmetric eigensolver reported a failure (info > 0).
 
-    The index of the offending eigenvalue is stored in ``index``.
+    The message is LAPACK's, as numpy raised it; the original
+    ``numpy.linalg.LinAlgError`` is the exception's ``__cause__``.
     """
-
-    def __init__(self, index: int, max_sweeps: int):
-        self.index = int(index)
-        self.max_sweeps = int(max_sweeps)
-        super().__init__(
-            f"eigenvalue {self.index} did not converge within {self.max_sweeps} QL sweeps"
-        )

@@ -15,7 +15,7 @@ tridiagonal chain:
     coupling  e_j   = g*sqrt((j+1)*(j+2k))
 
 This module holds the parameter container and the sector Hamiltonians; the
-heavy numerics live in `backend` / `eigen`.
+diagonalization (one LAPACK call per chain) lives in `backend` / `eigen`.
 """
 
 from __future__ import annotations

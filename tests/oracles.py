@@ -1,8 +1,11 @@
 """Independent reference implementations used only by the tests.
 
-Everything here deliberately avoids the package's own QL kernel: dense
-LAPACK routes via numpy.linalg, a characteristic-polynomial eigenvalue
-route for tiny matrices, and dense spectral propagation for dynamics.
+Nothing here calls the package's solver.  The package solves through
+numpy's dense LAPACK driver (?syevd), so the dense routes below
+(numpy.linalg) share its algorithm and guard only the chain assembly and
+sign rules; the algorithm-independent references are scipy's MRRR
+tridiagonal solver and, for tiny matrices, characteristic-polynomial roots.  Dense
+spectral propagation serves the dynamics tests.
 """
 
 import numpy as np
@@ -19,8 +22,16 @@ def dense_matrix(diag, off):
 
 
 def dense_eigvalsh(diag, off):
-    """Eigenvalues via the dense LAPACK path (independent of the QL kernel)."""
+    """Eigenvalues via numpy's dense LAPACK driver, on the full matrix."""
     return np.linalg.eigvalsh(dense_matrix(diag, off))
+
+
+def mrrr_eigvalsh(diag, off):
+    """Eigenvalues via scipy's tridiagonal MRRR solver (LAPACK ?stemr), a
+    different algorithm from the package's ?syevd."""
+    from scipy.linalg import eigh_tridiagonal as scipy_eigh_tridiagonal
+
+    return scipy_eigh_tridiagonal(diag, off, eigvals_only=True, lapack_driver="stemr")
 
 
 def dense_eigh(diag, off):

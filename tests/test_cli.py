@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import idrabi
+from idrabi.backend import MAX_SITES
 from idrabi.cli import main
 from idrabi.eigen import eigen_tridiagonal
 from idrabi.errors import EigensolverError
@@ -128,6 +129,14 @@ def test_spectrum_rejects_bad_flags(workdir, capsys):
     assert main(["spectrum", "--omega", "0"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_oversized_chain_refused_without_output(workdir, capsys):
+    too_big = str(MAX_SITES + 1)
+    assert main(["spectrum", "--size", too_big]) == 2
+    assert main(["evolve", "--size", too_big]) == 2
+    assert "dense solver limit" in capsys.readouterr().err
+    assert list(workdir.iterdir()) == []
 
 
 # ---------------------------------------------------------------- config file
@@ -292,7 +301,7 @@ def test_eigensolver_failure_maps_to_exit_3(workdir, monkeypatch, capsys):
     import idrabi.cli as cli
 
     def boom(cfg):
-        raise EigensolverError(index=3, max_sweeps=50)
+        raise EigensolverError("Eigenvalues did not converge")
 
     monkeypatch.setitem(cli._HANDLERS, "spectrum", boom)
     assert main(["spectrum"]) == 3
